@@ -28,7 +28,7 @@ def main() -> None:
     anet = AsyncBatonNetwork.build(
         300,
         seed=17,
-        latency=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
+        topology=ExponentialLatency(mean=1.0, rng=rng.child("latency")),
     )
     keys = uniform_keys(3_000, seed=5)
     anet.net.bulk_load(keys)
@@ -97,7 +97,7 @@ def main() -> None:
         rival = overlays.get(name).build_async(
             150,
             seed=17,
-            latency=ExponentialLatency(mean=1.0, rng=SeededRng(99).child(name)),
+            topology=ExponentialLatency(mean=1.0, rng=SeededRng(99).child(name)),
         )
         rival.net.bulk_load(keys)
         report = run_concurrent_workload(

@@ -55,12 +55,6 @@ class ChordConfig:
     m_bits: int = DEFAULT_M_BITS
 
 
-#: Backwards-compatible alias: Chord range scans now return the unified
-#: :class:`~repro.core.results.RangeSearchResult` (owners + keys + trace +
-#: ``complete`` truncation flag) instead of a private dataclass.
-ChordRangeResult = RangeSearchResult
-
-
 class ChordNetwork:
     """A simulated Chord ring with per-operation message traces."""
 

@@ -17,9 +17,9 @@ and everyone else's — fewer than 6·log N messages end to end.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.core.ids import ROOT, Position
+from repro.core.ids import ROOT
 from repro.core.links import LEFT, RIGHT, NodeInfo
 from repro.core.peer import BatonPeer
 from repro.core.results import JoinResult
@@ -62,19 +62,13 @@ def join(net: "BatonNetwork", start: Address) -> JoinResult:
     starts at the cheapest neighbourhood; with probing off the walk is
     message-for-message Algorithm 1 (pinned).
     """
-    newcomer: Optional[BatonPeer] = None
     with net.open_trace("join.find") as find_trace:
-        if probing_active(net):
-            # The joiner's address (hence its physical placement) must
-            # exist before the walk so probe replies can be priced against
-            # it; the single allocation per join simply moves earlier.
-            newcomer = BatonPeer(net.alloc.allocate(), ROOT, net.config.domain)
-            start = drive(probe_entry_steps(net, newcomer.address, start))
+        newcomer, start = drive(entry_steps(net, start))
         attempts = 3 if net.ghosts else 1
         parent_address: Optional[Address] = None
         for attempt in range(attempts):
             try:
-                parent_address = find_join_parent(net, start)
+                parent_address = drive(find_join_parent_steps(net, start))
                 break
             except ProtocolError:
                 if attempt == attempts - 1:
@@ -95,6 +89,23 @@ def join(net: "BatonNetwork", start: Address) -> JoinResult:
 def probing_active(net: "BatonNetwork") -> bool:
     """Whether topology-aware join probing applies to this network."""
     return net.config.locality.join_probes > 1 and net.topology is not None
+
+
+def entry_steps(net: "BatonNetwork", contact: Address) -> MessageSteps:
+    """Where the Algorithm 1 walk starts: ``(newcomer, start address)``.
+
+    With probing off this is ``(None, contact)`` and sends nothing.  With
+    probing on, the joiner is allocated first — its address (hence its
+    physical placement) must exist so probe replies can be priced against
+    it; the single allocation per join simply moves earlier — and the
+    contact probes candidate entry points on its behalf
+    (:func:`probe_entry_steps`).
+    """
+    if not probing_active(net):
+        return None, contact
+    newcomer = BatonPeer(net.alloc.allocate(), ROOT, net.config.domain)
+    start = yield from probe_entry_steps(net, newcomer.address, contact)
+    return newcomer, start
 
 
 def neighbourhood_cost(
@@ -169,8 +180,17 @@ def can_accept_join(peer: BatonPeer) -> bool:
     return peer.can_accept_child() and peer.range.can_split
 
 
-def find_join_parent(net: "BatonNetwork", start: Address) -> Address:
+def find_join_parent_steps(
+    net: "BatonNetwork",
+    start: Address,
+    *,
+    degraded: Optional[Callable[[], bool]] = None,
+) -> MessageSteps:
     """Algorithm 1: walk the overlay to a node that may accept a child.
+
+    Yields one hop per JOIN_FIND forward and returns the address of the
+    peer that passed :func:`can_accept_join` (the caller re-checks on
+    fresh state before accepting).
 
     The request carries the set of peers it has already consulted and is
     never re-forwarded to one of them (the natural implementation: the
@@ -182,12 +202,27 @@ def find_join_parent(net: "BatonNetwork", start: Address) -> Address:
     Skipping visited peers costs nothing on the wire (no message is sent
     to them) and turns the walk into an outward exploration that reaches
     an open slot.
+
+    ``degraded`` is None for the synchronous walk, which raises when it
+    gets stuck or its carrier is gone (``join`` retries through another
+    entry point).  The event runtime passes its degraded-routing
+    predicate: a carrier that vanished between hops, or a request stuck
+    while ``degraded()`` holds, then re-enters at a random live peer, as
+    a real joining host would retry through another contact.
     """
     limit = 8 * max(net.size.bit_length(), 1) + 2 * net.size + 64
     current = start
     visited = {start}
     for _ in range(limit):
-        peer = net.peer(current)
+        try:
+            peer = net.peer(current)
+        except PeerNotFoundError:
+            if degraded is None:
+                raise
+            current = net.random_peer_address()
+            visited.add(current)
+            yield Hop(None, current)  # the carrier vanished: fresh ingress
+            continue
         if can_accept_join(peer):
             return current
         next_hop = None
@@ -207,11 +242,17 @@ def find_join_parent(net: "BatonNetwork", start: Address) -> Address:
             if try_message(net, current, revisit, MsgType.JOIN_FIND):
                 next_hop = revisit
         if next_hop is None:
-            raise ProtocolError(
-                f"join request stuck at {peer.position}: no forwarding target"
-            )
-        visited.add(next_hop)
-        current = next_hop
+            if degraded is None or not degraded():
+                raise ProtocolError(
+                    f"join request stuck at {peer.position}: no forwarding target"
+                )
+            current = net.random_peer_address()
+            visited.add(current)
+            yield Hop(None, current)  # marooned: retry via a new contact
+        else:
+            visited.add(next_hop)
+            yield Hop(current, next_hop)
+            current = next_hop
     raise ProtocolError("join request did not terminate (routing state corrupt?)")
 
 

@@ -21,7 +21,9 @@ from repro.core.peer import BatonPeer
 from repro.core.results import LeaveResult
 from repro.net.address import Address
 from repro.net.message import MsgType
+from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError, ProtocolError
+from repro.util.stepper import MessageSteps, drive
 
 if TYPE_CHECKING:
     from repro.core.network import BatonNetwork
@@ -60,7 +62,7 @@ def leave(net: "BatonNetwork", address: Address) -> LeaveResult:
         )
 
     with net.open_trace("leave.find") as find_trace:
-        replacement_address = find_replacement(net, departing)
+        replacement_address = drive(find_replacement_steps(net, departing))
     with net.open_trace("leave.update") as update_trace:
         replacement = net.peer(replacement_address)
         if not can_depart_simply(replacement):
@@ -77,9 +79,17 @@ def leave(net: "BatonNetwork", address: Address) -> LeaveResult:
     )
 
 
-def find_replacement(net: "BatonNetwork", departing: BatonPeer) -> Address:
-    """Algorithm 2: locate a deepest leaf that can safely move."""
+def find_replacement_steps(net: "BatonNetwork", departing: BatonPeer) -> MessageSteps:
+    """Algorithm 2: locate a deepest leaf that can safely move.
+
+    Yields one hop per FINDREPLACEMENT forward and returns the leaf's
+    address.  A dead end raises :class:`ProtocolError`, and a dead next
+    hop or a carrier that vanished between hops raises
+    :class:`PeerNotFoundError`; the event runtime treats either as a lost
+    race and walks again.
+    """
     start = replacement_entry_point(net, departing)
+    yield Hop(departing.address, start)
     limit = 4 * max(net.size.bit_length(), 2) + 32
     current = start
     for _ in range(limit):
@@ -107,6 +117,7 @@ def find_replacement(net: "BatonNetwork", departing: BatonPeer) -> Address:
         if next_hop is None:
             raise ProtocolError("replacement walk lost its target")
         net.count_message(current, next_hop, MsgType.LEAVE_FIND)
+        yield Hop(current, next_hop)
         current = next_hop
     raise ProtocolError("replacement search did not terminate")
 

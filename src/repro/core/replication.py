@@ -23,8 +23,8 @@ convention, :mod:`repro.util.stepper`): it performs one protocol step —
 one counted message exchange — then yields a
 :class:`~repro.sim.topology.Hop` naming the link the message crosses.  The
 synchronous network drives a generator to exhaustion (one atomic
-operation, the historical behaviour); the event-driven runtime lifts the
-same generator onto the simulator, so replication traffic is priced per
+operation, the historical behaviour); the event-driven runtime runs the
+same generator on the simulator, so replication traffic is priced per
 link like any other message instead of being a free side effect.  Bulk
 transfers — a full-store refresh, the repair-time replica pull — declare
 their payload via ``Hop.size``, so bandwidth-limited topologies charge
@@ -136,16 +136,6 @@ def replicate_delete_steps(
     return True
 
 
-def replicate_insert(net: "BatonNetwork", owner: BatonPeer, key: int) -> None:
-    """Synchronous write-through (drives the step generator atomically)."""
-    drive(replicate_insert_steps(net, owner, key))
-
-
-def replicate_delete(net: "BatonNetwork", owner: BatonPeer, key: int) -> None:
-    """Synchronous write-through (drives the step generator atomically)."""
-    drive(replicate_delete_steps(net, owner, key))
-
-
 def refresh_peer_steps(net: "BatonNetwork", peer: BatonPeer) -> MessageSteps:
     """Re-anchor one peer's mirror at its current adjacent.
 
@@ -251,13 +241,6 @@ def restore_from_replica_steps(
     if target is onward and net.peers.get(absorber.address) is absorber:
         target.replicas.setdefault(absorber.address, []).extend(recovered)
     return len(recovered)
-
-
-def restore_from_replica(
-    net: "BatonNetwork", ghost: BatonPeer, absorber: BatonPeer
-) -> int:
-    """Synchronous replica pull (drives the step generator atomically)."""
-    return drive(restore_from_replica_steps(net, ghost, absorber))
 
 
 def _find_replica_holder(

@@ -62,11 +62,6 @@ class MultiwayConfig:
             raise ValueError("fanout must be at least 2")
 
 
-#: Backwards-compatible alias: multiway range scans now return the unified
-#: :class:`~repro.core.results.RangeSearchResult`.
-MultiwayRangeResult = RangeSearchResult
-
-
 class MultiwayNetwork:
     """A simulated multiway-tree overlay."""
 
@@ -316,10 +311,6 @@ class MultiwayNetwork:
             yield Hop(current.address, best.address)
             current = best
         raise ProtocolError("multiway replacement walk did not terminate")
-
-    # Historical private spelling (returns the replacement address).
-    def _find_replacement_leaf(self, node: MultiwayNode) -> Optional[Address]:
-        return drive(self.replacement_steps(node))
 
     def detach_leaf(self, leaf: MultiwayNode) -> Address:
         """Unhook a leaf; its interval flows to its in-order predecessor.

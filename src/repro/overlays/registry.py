@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.sim.latency import LatencyModel
 from repro.sim.runtime import AsyncOverlayRuntime
 from repro.sim.topology import Topology
 from repro.util.errors import CapabilityError
@@ -58,15 +57,13 @@ class OverlayEntry:
         n_peers: int,
         seed: int = 0,
         *,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         replication: bool = False,
         **kwargs,
     ) -> AsyncOverlayRuntime:
         """Grow a synchronous network and wrap it for concurrent traffic.
 
-        ``topology`` selects the per-link transport model; ``latency`` is
-        the historical spelling for the scalar (single-region) case.
+        ``topology`` selects the per-link transport model.
         ``replication=True`` turns on the data-durability extension and is
         refused (:class:`CapabilityError`) by overlays that do not
         advertise the capability.
@@ -103,9 +100,7 @@ class OverlayEntry:
             bulk=kwargs.pop("bulk", False),
             keys=kwargs.pop("keys", None),
         )
-        return self.runtime_cls(
-            net, latency=latency, topology=topology, **kwargs
-        )
+        return self.runtime_cls(net, topology=topology, **kwargs)
 
     def _build_base(self, n_peers: int, seed: int, *, config, bulk, keys):
         """The synchronous network under :meth:`build_async`, snapshot-
@@ -140,14 +135,11 @@ class OverlayEntry:
         net,
         *,
         sim=None,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         **kwargs,
     ) -> AsyncOverlayRuntime:
         """Wrap an existing synchronous network in the async runtime."""
-        return self.runtime_cls(
-            net, sim=sim, latency=latency, topology=topology, **kwargs
-        )
+        return self.runtime_cls(net, sim=sim, topology=topology, **kwargs)
 
 
 _REGISTRY: Dict[str, OverlayEntry] = {}

@@ -28,10 +28,9 @@ from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.peer import BatonPeer
 from repro.core.ranges import Range
-from repro.core.search import anchors_range, hop_limit
+from repro.core.search import anchors_range, hop_limit, route_steps
 from repro.net.address import Address
 from repro.net.message import MsgType
-from repro.pubsub.multicast import route_steps
 from repro.pubsub.state import apply_delivery
 from repro.sim.topology import Hop
 from repro.util.errors import PeerNotFoundError
@@ -163,7 +162,7 @@ def notify_steps(net: "BatonNetwork", owner: BatonPeer, key: int):
                 owner.address, sub.subscriber, MsgType.NOTIFY, key=key
             )
         except PeerNotFoundError:
-            del table[sub.sub_id]
+            table.pop(sub.sub_id, None)
             continue
         yield Hop(owner.address, sub.subscriber, size=1.0)
         subscriber = net.peers.get(sub.subscriber)

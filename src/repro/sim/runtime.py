@@ -8,16 +8,20 @@ and the next message being sent.
 
 :class:`AsyncOverlayRuntime` closes that gap for any overlay implementing
 the :mod:`repro.overlays` protocol.  It wraps a synchronous network and
-re-expresses every public operation — join, leave, exact search, range
-search, insert, delete (plus fail, where supported) — as a *hop generator*:
-a Python generator that performs one protocol step (one message exchange,
-using exactly the same helpers and message accounting as the synchronous
-code) and then yields a :class:`~repro.sim.topology.Hop` declaring which
-pair of peers the next message travels between.  The runtime prices each
-hop per link through the run's :class:`~repro.sim.topology.Topology`
-(``sample(src, dst, size=...)``) and schedules the resumption on the shared
-:class:`~repro.sim.engine.Simulator`, so any number of operations
-interleave at hop granularity while each individual step stays atomic.
+runs every public operation — join, leave, exact search, range search,
+insert, delete (plus fail, where supported) — as a *hop generator*: a
+Python generator that performs one protocol step (one message exchange)
+and then yields a :class:`~repro.sim.topology.Hop` declaring which pair of
+peers the next message travels between.  The protocol walks are the
+overlay's own step generators (:mod:`repro.util.stepper`), run with
+``yield from``: the code the synchronous facades drive, not a copy of it.
+What the runtime adds is scheduling — the client's ingress hop, inbox
+flushes before structural handshakes, race re-checks and retries.  It
+prices each hop per link through the run's
+:class:`~repro.sim.topology.Topology` (``sample(src, dst, size=...)``) and
+schedules the resumption on the shared :class:`~repro.sim.engine.Simulator`,
+so any number of operations interleave at hop granularity while each
+individual step stays atomic.
 Completion is exposed through :class:`OpFuture` (result, error, latency,
 accumulated transit time, done-callbacks).
 
@@ -52,7 +56,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, ClassVar, Generator, List, Optional, Set
 
-from repro.core import balance as balance_protocol
 from repro.core import cache as route_cache_protocol
 from repro.core import data as data_protocol
 from repro.core import failure as failure_protocol
@@ -75,7 +78,7 @@ from repro.net.bus import MessageBus, Trace
 from repro.net.message import MsgType
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan, FaultStats
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.latency import ConstantLatency
 from repro.sim.topology import Hop, Topology
 from repro.util.errors import (
     CapabilityError,
@@ -208,18 +211,14 @@ class AsyncOverlayRuntime:
         net,
         *,
         sim: Optional[Simulator] = None,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         record_events: bool = True,
         retain_ops: bool = True,
     ):
-        if latency is not None and topology is not None:
-            raise ValueError("pass either topology or latency (its alias), not both")
         self.net = net
         self.sim = sim if sim is not None else Simulator()
-        transport = topology if topology is not None else latency
         self.topology: Topology = (
-            transport if transport is not None else ConstantLatency(1.0)
+            topology if topology is not None else ConstantLatency(1.0)
         )
         #: Installed chaos layer, if the transport is a FaultPlan.  With
         #: None (every pre-chaos call site), operations take the
@@ -254,7 +253,6 @@ class AsyncOverlayRuntime:
         seed: int = 0,
         *,
         config=None,
-        latency=None,
         topology=None,
         bulk=False,
         keys=None,
@@ -272,13 +270,7 @@ class AsyncOverlayRuntime:
         net = cls.network_cls.build(
             n_peers, seed=seed, config=config, **build_kwargs
         )
-        return cls(net, latency=latency, topology=topology, **kwargs)
-
-    @property
-    def latency(self) -> Topology:
-        """Historical alias for :attr:`topology` (scalar models are
-        degenerate topologies, so old call sites keep reading)."""
-        return self.topology
+        return cls(net, topology=topology, **kwargs)
 
     # -- clock ----------------------------------------------------------------
 
@@ -587,7 +579,7 @@ class AsyncOverlayRuntime:
         self, future: OpFuture, start: Address, key: int
     ) -> OpSteps:
         yield Hop(None, start)  # the request reaches its entry peer
-        owner = yield from self._lift(self._owner_steps(start, key, MsgType.SEARCH))
+        owner = yield from self._owner_steps(start, key, MsgType.SEARCH)
         found = key in self.net.node(owner).store
         return SearchResult(found=found, owner=owner, trace=future.trace)
 
@@ -595,9 +587,7 @@ class AsyncOverlayRuntime:
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
         yield Hop(None, start)
-        owners, keys, complete = yield from self._lift(
-            self.net.range_steps(start, low, high)
-        )
+        owners, keys, complete = yield from self.net.range_steps(start, low, high)
         return RangeSearchResult(
             owners=owners, keys=keys, trace=future.trace, complete=complete
         )
@@ -606,7 +596,7 @@ class AsyncOverlayRuntime:
         self, future: OpFuture, start: Address, key: int, mtype: MsgType
     ) -> OpSteps:
         yield Hop(None, start)
-        owner = yield from self._lift(self._owner_steps(start, key, mtype))
+        owner = yield from self._owner_steps(start, key, mtype)
         store = self.net.node(owner).store
         if mtype is MsgType.INSERT:
             store.insert(key)
@@ -869,17 +859,6 @@ class AsyncOverlayRuntime:
             (self.sim.now, future.op_id, future.kind, phase, future.trace.total)
         )
 
-    def _lift(self, steps: MessageSteps) -> OpSteps:
-        """Adopt a message-step generator's hops into this operation.
-
-        The synchronous facades drive these generators to exhaustion in one
-        call, ignoring the yielded hops; lifting instead forwards each
-        :class:`Hop` to the scheduler, which prices it per link and resumes
-        the generator one simulator event later — same code, same messages,
-        different clock.
-        """
-        return (yield from steps)
-
 
 class AsyncBatonNetwork(AsyncOverlayRuntime):
     """Concurrent-operation facade over a :class:`BatonNetwork`.
@@ -914,7 +893,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         net: Optional[BatonNetwork] = None,
         *,
         sim: Optional[Simulator] = None,
-        latency: Optional[LatencyModel] = None,
         topology: Optional[Topology] = None,
         seed: int = 0,
         config: Optional[BatonConfig] = None,
@@ -927,7 +905,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         super().__init__(
             net,
             sim=sim,
-            latency=latency,
             topology=topology,
             record_events=record_events,
             retain_ops=retain_ops,
@@ -1100,118 +1077,34 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         return search_protocol.network_degraded(self.net) or self._in_flight > 1
 
     # -- hop generators -------------------------------------------------------
-
-    def _route_steps(
-        self, future: OpFuture, start: Address, key: int, mtype: MsgType
-    ) -> OpSteps:
-        """Per-hop :func:`~repro.core.search.route_to_owner`.
-
-        Pays exactly the same messages as the synchronous walk; between
-        hops, the simulator may run other operations' events.  With the
-        hot-range cache on (locality extension, default off) the entry
-        peer first tries its cached shortcut — one priced direct hop,
-        verified at the landed peer, invalidated and resumed as a normal
-        walk when stale (:mod:`repro.core.cache`).
-        """
-        net = self.net
-        yield Hop(None, start)  # the request reaches its entry peer
-        current = start
-        cached = net.config.locality.cache_size > 0
-        if cached:
-            stats = net.cache_stats
-            entry_peer = net.peers.get(start)
-            cache = entry_peer.route_cache if entry_peer is not None else None
-            hint = cache.lookup(key) if cache is not None else None
-            if hint is None or hint == start:
-                stats.misses += 1
-            else:
-                try:
-                    net.count_message(start, hint, mtype)
-                except PeerNotFoundError:
-                    stats.misses += 1
-                    cache.invalidate(hint)
-                else:
-                    yield Hop(start, hint)
-                    target = net.peers.get(hint)
-                    if target is not None and target.range.contains(key):
-                        stats.hits += 1
-                    else:
-                        # Verified-stale (or the owner vanished mid-hop):
-                        # drop the entry and walk on from where we landed —
-                        # the regular loop below re-reads the peer, so a
-                        # vanished carrier fails the op exactly like any
-                        # other mid-flight loss.
-                        stats.misses += 1
-                        cache.invalidate(hint)
-                    current = hint
-        limit = search_protocol.hop_limit(net)
-        for _ in range(limit):
-            peer = net.peer(current)  # raises if the carrier vanished mid-op
-            if peer.range.contains(key):
-                if cached:
-                    route_cache_protocol.record_route(net, start, peer)
-                return current
-            primary, fallback = search_protocol.hop_candidates(peer, key)
-            if not primary:
-                return current  # extreme node; key beyond the covered domain
-            next_hop = search_protocol.first_live_hop(
-                net, current, primary + fallback, mtype
-            )
-            if next_hop is None:
-                if self._routing_degraded():
-                    return current  # marooned; report best effort
-                raise ProtocolError(
-                    f"all routes from {peer.position} toward {key} are dead"
-                )
-            yield Hop(current, next_hop)
-            current = next_hop
-        if self._routing_degraded():
-            return current
-        raise ProtocolError(f"search for {key} did not terminate")
+    #
+    # The walks themselves are the core step generators; what stays here is
+    # scheduling: the client's ingress hop, inbox flushes before a
+    # structural handshake, race re-checks with their retry loops, and the
+    # sized bulk-transfer hops of a departure.
 
     def _search_exact_steps(
         self, future: OpFuture, start: Address, key: int
     ) -> OpSteps:
-        owner = yield from self._route_steps(future, start, key, MsgType.SEARCH)
-        peer = self.net.peer(owner)
-        found = peer.range.contains(key) and key in peer.store
+        yield Hop(None, start)  # the request reaches its entry peer
+        owner, _ = yield from search_protocol.route_steps(
+            self.net,
+            start,
+            key,
+            MsgType.SEARCH,
+            degraded=self._routing_degraded,
+            cached=True,
+        )
+        found = search_protocol.holds(self.net.peer(owner), key)
         return SearchResult(found=found, owner=owner, trace=future.trace)
 
     def _search_range_steps(
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
-        net = self.net
-        first = yield from self._route_steps(
-            future, start, low, MsgType.RANGE_SEARCH
+        yield Hop(None, start)
+        owners, keys, complete = yield from search_protocol.range_steps(
+            self.net, start, low, high, degraded=self._routing_degraded
         )
-        owners: List[Address] = []
-        keys: List[int] = []
-        # As in the synchronous walk: an answer anchored at a marooned peer
-        # (degraded routing gave up short of low's owner) is never complete.
-        complete = False
-        anchored = search_protocol.anchors_range(net.peer(first), low)
-        current = first
-        limit = search_protocol.hop_limit(net) + net.size
-        for _ in range(limit):
-            try:
-                peer = net.peer(current)
-            except PeerNotFoundError:
-                break  # carrier vanished between hops: truncated answer
-            if peer.range.low >= high:
-                complete = anchored
-                break
-            owners.append(current)
-            keys.extend(peer.store.keys_in(low, high))
-            if peer.range.high >= high or peer.right_adjacent is None:
-                complete = anchored
-                break
-            next_hop = peer.right_adjacent.address
-            try:
-                net.count_message(current, next_hop, MsgType.RANGE_SEARCH)
-            except PeerNotFoundError:
-                break  # partial answer; repair will restore the chain
-            yield Hop(current, next_hop)
-            current = next_hop
         return RangeSearchResult(
             owners=owners, keys=keys, trace=future.trace, complete=complete
         )
@@ -1219,65 +1112,27 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
     def _data_op_steps(
         self, future: OpFuture, start: Address, key: int, mtype: MsgType
     ) -> OpSteps:
-        net = self.net
-        owner_address = yield from self._route_steps(future, start, key, mtype)
-        owner = net.peer(owner_address)
+        yield Hop(None, start)
         if mtype is MsgType.INSERT:
-            if not owner.range.contains(key):
-                data_protocol.expand_extreme_range(net, owner, key)
-            owner.store.insert(key)
-            applied = True
-            if net.config.replication:
-                from repro.core import replication
-
-                # The write-through is a priced hop of its own: the insert
-                # future completes only once the mirror is confirmed.
-                yield from self._lift(
-                    replication.replicate_insert_steps(net, owner, key)
-                )
-            if owner.subscriptions:
-                from repro.pubsub.subscribe import notify_steps
-
-                # Notification pushes are priced hops of their own: the
-                # insert completes once every subscriber has been told.
-                yield from self._lift(notify_steps(net, owner, key))
+            steps = data_protocol.insert_steps
         else:
-            applied = owner.store.delete(key)
-            if applied and net.config.replication:
-                from repro.core import replication
-
-                yield from self._lift(
-                    replication.replicate_delete_steps(net, owner, key)
-                )
-        result = DataOpResult(applied=applied, owner=owner_address, trace=future.trace)
-        if mtype is MsgType.INSERT and owner_address in net.peers:
-            # (The owner can vanish during the replicate hop; a dead peer
-            # has no load left to balance.)
-            outcome = balance_protocol.maybe_balance(net, owner_address)
-            if outcome is not None:
-                result.balance_trace = outcome.trace
-                result.balance_moves = outcome.shift_size
+            steps = data_protocol.delete_steps
+        owner, applied = yield from steps(
+            self.net, start, key, degraded=self._routing_degraded
+        )
+        result = DataOpResult(applied=applied, owner=owner, trace=future.trace)
+        if mtype is MsgType.INSERT:
+            data_protocol.balance_after_insert(self.net, result)
         return result
 
     def _join_steps(self, future: OpFuture, start: Address) -> OpSteps:
         net = self.net
         yield Hop(None, start)  # the join request reaches its entry peer
-        newcomer = None
-        if join_protocol.probing_active(net):
-            # Same protocol as the sync facade: allocate the joiner early so
-            # probe replies can be priced against its placement, then let
-            # the contact probe candidate entry points (each probe/response
-            # leg is a priced simulator event like any other message).
-            from repro.core.ids import ROOT
-            from repro.core.peer import BatonPeer
-
-            newcomer = BatonPeer(net.alloc.allocate(), ROOT, net.config.domain)
-            start = yield from self._lift(
-                join_protocol.probe_entry_steps(net, newcomer.address, start)
-            )
-        current = start
+        newcomer, current = yield from join_protocol.entry_steps(net, start)
         for _attempt in range(16):
-            parent_address = yield from self._find_join_parent_steps(future, current)
+            parent_address = yield from join_protocol.find_join_parent_steps(
+                net, current, degraded=self._routing_degraded
+            )
             # The accepting parent drains its inbox before committing: the
             # walk's acceptance test may have read table entries whose
             # corrections (a neighbour's new child, a LEAVE notice) were
@@ -1300,62 +1155,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
                 update_trace=net.new_trace("join.update"),
             )
         raise ProtocolError("join kept losing acceptance races")
-
-    def _find_join_parent_steps(self, future: OpFuture, start: Address) -> OpSteps:
-        """Per-hop Algorithm 1 with mid-flight carrier-loss recovery.
-
-        Mirrors :func:`repro.core.join.find_join_parent` decision for
-        decision — including the visited set the request carries so it is
-        never re-forwarded into a cycle — with hops yielded to the
-        simulator in between.
-        """
-        net = self.net
-        limit = 8 * max(net.size.bit_length(), 1) + 2 * net.size + 64
-        current = start
-        visited = {start}
-        for _ in range(limit):
-            try:
-                peer = net.peer(current)
-            except PeerNotFoundError:
-                # The walk's carrier vanished; re-enter somewhere live, as a
-                # real joining host would retry through another contact.
-                current = net.random_peer_address()
-                visited.add(current)
-                yield Hop(None, current)  # fresh client ingress
-                continue
-            if join_protocol.can_accept_join(peer):
-                return current
-            next_hop = None
-            revisit: Optional[Address] = None
-            for candidate in join_protocol.forward_targets(net, peer):
-                if candidate in visited:
-                    if revisit is None:
-                        revisit = candidate
-                    continue
-                if join_protocol.try_message(
-                    net, current, candidate, MsgType.JOIN_FIND
-                ):
-                    next_hop = candidate
-                    break
-            if next_hop is None and revisit is not None:
-                if join_protocol.try_message(
-                    net, current, revisit, MsgType.JOIN_FIND
-                ):
-                    next_hop = revisit
-            if next_hop is None:
-                if not self._routing_degraded():
-                    raise ProtocolError(
-                        f"join request stuck at {peer.position}: "
-                        "no forwarding target"
-                    )
-                current = net.random_peer_address()
-                visited.add(current)
-                yield Hop(None, current)  # marooned: retry via a new contact
-            else:
-                visited.add(next_hop)
-                yield Hop(current, next_hop)
-                current = next_hop
-        raise ProtocolError("join request did not terminate (routing state corrupt?)")
 
     def _leave_steps(self, future: OpFuture, address: Address) -> OpSteps:
         net = self.net
@@ -1385,19 +1184,18 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
                         size=float(max(1, handover)),
                     )
                 return self._leave_result(future, address, None)
-            replacement_address = yield from self._find_replacement_steps(
-                future, departing
-            )
-            if net.peers.get(address) is not departing:
-                # Another operation removed or transplanted us mid-walk; the
-                # next attempt re-reads the peer (and fails if it is gone).
-                yield Hop(address, address)
-                continue
-            if replacement_address is None or replacement_address == address:
-                yield Hop(address, address)
-                continue
+            try:
+                replacement_address = yield from leave_protocol.find_replacement_steps(
+                    net, departing
+                )
+            except (ProtocolError, PeerNotFoundError):
+                replacement_address = None  # a dead end left by another op
             replacement = net.peers.get(replacement_address)
-            if replacement is None:
+            if (
+                net.peers.get(address) is not departing  # removed or transplanted
+                or replacement is None
+                or replacement is departing
+            ):
                 yield Hop(address, address)  # lost the race; walk again
                 continue
             # Drain the replacement's inbox first: its safe-departure test
@@ -1440,53 +1238,6 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
             update_trace=self.net.new_trace("leave.update"),
         )
 
-    def _find_replacement_steps(
-        self, future: OpFuture, departing
-    ) -> Generator[Hop, None, Optional[Address]]:
-        """Per-hop Algorithm 2; None (instead of an error) on dead ends."""
-        net = self.net
-        try:
-            start = leave_protocol.replacement_entry_point(net, departing)
-        except (ProtocolError, PeerNotFoundError):
-            return None
-        yield Hop(departing.address, start)
-        limit = 4 * max(net.size.bit_length(), 2) + 32
-        current = start
-        for _ in range(limit):
-            try:
-                peer = net.peer(current)
-            except PeerNotFoundError:
-                return None  # carrier vanished; the caller re-walks
-            next_hop: Optional[Address] = None
-            if peer.left_child is not None:
-                next_hop = peer.left_child.address
-            elif peer.right_child is not None:
-                next_hop = peer.right_child.address
-            else:
-                with_children = (
-                    peer.left_table.nodes_with_children()
-                    + peer.right_table.nodes_with_children()
-                )
-                if with_children:
-                    nearest = min(
-                        with_children,
-                        key=lambda info: abs(
-                            info.position.number - peer.position.number
-                        ),
-                    )
-                    next_hop = nearest.left_child or nearest.right_child
-                else:
-                    return current
-            if next_hop is None:
-                return None
-            try:
-                net.count_message(current, next_hop, MsgType.LEAVE_FIND)
-            except PeerNotFoundError:
-                return None
-            yield Hop(current, next_hop)
-            current = next_hop
-        return None
-
     def _multicast_steps(
         self, future: OpFuture, start: Address, low: int, high: int
     ) -> OpSteps:
@@ -1494,10 +1245,8 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
         yield Hop(None, start)  # the publish reaches its entry peer
         return (
-            yield from self._lift(
-                multicast_steps(
-                    self.net, start, low, high, degraded=self._routing_degraded
-                )
+            yield from multicast_steps(
+                self.net, start, low, high, degraded=self._routing_degraded
             )
         )
 
@@ -1508,10 +1257,8 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
 
         yield Hop(None, start)  # the subscriber contacts the overlay
         return (
-            yield from self._lift(
-                subscribe_steps(
-                    self.net, start, low, high, degraded=self._routing_degraded
-                )
+            yield from subscribe_steps(
+                self.net, start, low, high, degraded=self._routing_degraded
             )
         )
 
@@ -1527,9 +1274,7 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         yield Hop(None, address)  # the failure report reaches the coordinator
         if address not in net.ghosts:
             return None  # already repaired (or never actually crashed)
-        result = yield from self._lift(
-            failure_protocol.repair_steps(net, address, future.trace)
-        )
+        result = yield from failure_protocol.repair_steps(net, address, future.trace)
         net.stats.repairs += 1
         return result
 
@@ -1542,4 +1287,4 @@ class AsyncBatonNetwork(AsyncOverlayRuntime):
         peer = net.peers.get(address)
         if peer is None:
             return 0  # vanished between submission rounds
-        return (yield from self._lift(replication.refresh_peer_steps(net, peer)))
+        return (yield from replication.refresh_peer_steps(net, peer))

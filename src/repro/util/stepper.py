@@ -6,14 +6,17 @@ usual bus accounting) and then ``yield`` a :class:`~repro.sim.topology.Hop`
 declaring which pair of peers the next message travels between.  The
 synchronous facades run a generator to exhaustion with :func:`drive` — one
 atomic operation, exactly the pre-generator behaviour; the yielded hops are
-ignored — while the event-driven runtime (:mod:`repro.sim.runtime`) resumes
-the same generator once per simulator event, turning each hop into a
-per-link delay drawn from the run's :class:`~repro.sim.topology.Topology`.
+ignored — while the event-driven runtime (:mod:`repro.sim.runtime`) runs
+the same generator with ``yield from`` inside an operation's hop
+generator, resuming it once per simulator event and turning each hop into
+a per-link delay drawn from the run's :class:`~repro.sim.topology.Topology`.
 
 Writing each protocol once and executing it under both regimes is what
 guarantees the serialized-equivalence property the runtime tests pin down:
 the two paths *cannot* diverge in message order because they are the same
-code.
+code.  This holds for every overlay: the runtimes add scheduling around the
+walks (client ingress hops, inbox flushes, race re-checks and retries) but
+keep no copy of them.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ class TestAsyncConformance:
     def test_serialized_queries_match_sync(self, name):
         entry = overlays.get(name)
         sync = entry.build(30, seed=3)
-        anet = entry.wrap(entry.build(30, seed=3), latency=ConstantLatency(1.0))
+        anet = entry.wrap(entry.build(30, seed=3), topology=ConstantLatency(1.0))
         keys = uniform_keys(80, seed=9)
         sync.bulk_load(keys)
         anet.net.bulk_load(keys)
@@ -231,7 +231,7 @@ class TestAsyncConformance:
     def test_serialized_membership_and_data_match_sync(self, name):
         entry = overlays.get(name)
         sync = entry.build(30, seed=3)
-        anet = entry.wrap(entry.build(30, seed=3), latency=ConstantLatency(1.0))
+        anet = entry.wrap(entry.build(30, seed=3), topology=ConstantLatency(1.0))
         for _ in range(10):
             expected = sync.join()
             future = anet.submit_join()
@@ -268,7 +268,7 @@ class TestAsyncConformance:
             entry = overlays.get(name)
             anet = entry.wrap(
                 entry.build(40, seed=2),
-                latency=ExponentialLatency(1.0, rng.child("latency")),
+                topology=ExponentialLatency(1.0, rng.child("latency")),
             )
             anet.net.bulk_load(uniform_keys(200, seed=5))
             futures = []

@@ -106,14 +106,14 @@ class TestMulticastDelivery:
 
     def test_sync_async_equivalence(self):
         """The serialized async path delivers the same set for the same
-        cost — it lifts the very same step generator."""
+        cost — it runs the very same step generator."""
         low, high = SPAN
         sync_net = built(150, seed=9)
         start = min(sync_net.addresses())
         expected = multicast(sync_net, low, high, via=start)
 
         anet = AsyncBatonNetwork(
-            built(150, seed=9), latency=ConstantLatency(1.0)
+            built(150, seed=9), topology=ConstantLatency(1.0)
         )
         future = anet.submit_multicast(low, high, via=start)
         anet.drain()

@@ -1,7 +1,7 @@
 """Tests for the adjacent-replica durability extension.
 
 Covers the synchronous write-through/refresh/restore protocol and the
-async path the event-driven runtime lifts from the same step generators:
+async path the event-driven runtime runs from the same step generators:
 serialized equivalence (same messages, same mirrors, same survivors as the
 synchronous network), sized refresh hops under a clustered topology, and
 the zero-key-loss guarantee for serialized crash+repair runs.
@@ -158,7 +158,7 @@ class TestAsyncSerializedEquivalence:
     """The async replication path vs. the synchronous network.
 
     With constant latency and one operation in flight at a time, the
-    lifted step generators send exactly the messages the synchronous
+    shared step generators send exactly the messages the synchronous
     protocol sends and leave identical stores and mirrors behind.
     """
 
@@ -364,7 +364,7 @@ class TestReconcileAccounting:
     def test_single_peer_reconciles_for_free(self):
         net = BatonNetwork(config=BatonConfig(replication=True), seed=0)
         net.bootstrap()
-        anet = AsyncBatonNetwork(net, latency=ConstantLatency(1.0))
+        anet = AsyncBatonNetwork(net, topology=ConstantLatency(1.0))
         assert anet.reconcile() == 0
 
 

@@ -245,7 +245,7 @@ class TestOptInEventLog:
         def run(record: bool):
             anet = AsyncBatonNetwork(
                 BatonNetwork.build(40, seed=8),
-                latency=ExponentialLatency(1.0, SeededRng(2).child("lat")),
+                topology=ExponentialLatency(1.0, SeededRng(2).child("lat")),
                 record_events=record,
                 retain_ops=record,
             )
