@@ -245,8 +245,10 @@ def _hand_over_content(
         from repro.pubsub.subscribe import transfer_subscriptions
 
         transfer_subscriptions(net, leaf, absorber)
-    if absorber_info is not leaf.parent:
+    if absorber.address != leaf.parent.address:
         # Range change at a non-parent absorber: its linkers must hear.
+        # Compared by address, not identity: whether the adjacent and
+        # parent links share one snapshot must not change the traffic.
         net.broadcast_update(absorber, exclude={leaf.address})
 
 

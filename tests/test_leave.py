@@ -6,7 +6,10 @@ import random
 import pytest
 
 from repro.core import BatonNetwork, check_invariants
-from repro.core.leave import can_depart_simply
+from repro.core.leave import can_depart_simply, depart_leaf
+from repro.core.links import LEFT
+from repro.core.restructure import forced_add_child
+from repro.net.message import MsgType
 from repro.util.errors import PeerNotFoundError
 
 from tests.conftest import make_network
@@ -134,3 +137,39 @@ class TestSafetyPredicates:
         for peer in net.peers.values():
             if not peer.is_leaf:
                 assert not can_depart_simply(peer)
+
+
+class TestHandOverTraffic:
+    @staticmethod
+    def _rejoin_table_updates(share_snapshot: bool) -> int:
+        """TABLE_UPDATE traffic of one §IV-D rejoin whose recruit is a left
+        leaf (its right adjacent *is* its parent), with that adjacent link
+        either sharing the parent's snapshot or holding a copy of it."""
+        net = make_network(33, seed=9)
+        recruit = next(
+            peer
+            for _, peer in sorted(net.peers.items())
+            if peer.position.is_left_child
+            and can_depart_simply(peer)
+            and peer.right_adjacent.address == peer.parent.address
+        )
+        recruit.right_adjacent = (
+            recruit.parent if share_snapshot else recruit.parent.copy()
+        )
+        anchor = next(
+            peer
+            for _, peer in sorted(net.peers.items())
+            if peer.is_leaf and peer.address not in (
+                recruit.address, recruit.parent.address
+            )
+        )
+        before = net.bus.stats.by_type[MsgType.TABLE_UPDATE]
+        detached = depart_leaf(net, recruit, content_target="right_adjacent")
+        forced_add_child(net, anchor, LEFT, detached)
+        check_invariants(net)
+        return net.bus.stats.by_type[MsgType.TABLE_UPDATE] - before
+
+    def test_absorber_broadcast_does_not_depend_on_snapshot_sharing(self):
+        shared = self._rejoin_table_updates(share_snapshot=True)
+        copied = self._rejoin_table_updates(share_snapshot=False)
+        assert shared == copied > 0
