@@ -9,21 +9,26 @@ checked-in point; ``python -m repro profile --out`` refreshes it), and the
 regression test fails when the driver gets more than
 ``REPRO_BENCH_FACTOR``x (default 2x) slower than that baseline.
 
-The shortened N=10k cell — the paper's headline population — and the
-N=30k bulk-build stand-in are gated behind ``REPRO_SCALE_SMOKE=1`` (CI's
-benchmark job sets it) so ordinary test runs stay fast; the full N=100k
-cell — bulk build plus a ~10⁶-event drive — needs ``REPRO_FULL_SCALE=1``.
+The shortened N=10k cell — the paper's headline population — the
+N=30k bulk-build stand-in and the N=30k reconcile-vs-build gate are gated
+behind ``REPRO_SCALE_SMOKE=1`` (CI's benchmark job sets it) so ordinary
+test runs stay fast; the full N=100k cells — bulk build plus a
+~10⁶-event drive, and the same reconcile gate — need
+``REPRO_FULL_SCALE=1``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
 
+from repro import overlays
 from repro.experiments import scale_profile
+from repro.experiments.harness import build_loaded
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
@@ -276,6 +281,49 @@ def test_30k_bulk_smoke(benchmark):
     assert row["success"] > 0.8
 
 
+def _first_reconcile_vs_build(n_peers: int) -> dict:
+    """Bulk-build a loaded N-peer tree, wrap it, and time its first
+    ``reconcile()`` sweep against the build that made the same tables."""
+    started = time.perf_counter()
+    net = build_loaded(
+        "baton", n_peers, 0, scale_profile.DATA_PER_NODE, bulk=True
+    )
+    build_s = time.perf_counter() - started
+    anet = overlays.get("baton").wrap(net, record_events=False, retain_ops=False)
+    started = time.perf_counter()
+    messages = anet.reconcile()
+    reconcile_s = time.perf_counter() - started
+    return {
+        "n_peers": n_peers,
+        "build_s": round(build_s, 4),
+        "reconcile_s": round(reconcile_s, 4),
+        "reconcile_msgs": messages,
+    }
+
+
+def _assert_reconcile_at_build_speed(benchmark, n_peers: int) -> None:
+    row = benchmark.pedantic(
+        lambda: _first_reconcile_vs_build(n_peers), iterations=1, rounds=1
+    )
+    benchmark.extra_info["row"] = row
+    assert row["reconcile_msgs"] == n_peers
+    assert row["reconcile_s"] <= row["build_s"], (
+        f"N={n_peers}: the first reconcile sweep took {row['reconcile_s']:.2f} s, "
+        f"longer than the bulk build of the same tables ({row['build_s']:.2f} s)"
+    )
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_SCALE_SMOKE") != "1"
+    and os.environ.get("REPRO_FULL_SCALE") != "1",
+    reason="N=30k reconcile-vs-build gate runs in the CI benchmark job",
+)
+def test_30k_reconcile_at_bulk_build_speed(benchmark):
+    """Reconcile recomputes every link from ground truth, as the bulk build
+    does: it must cost no more than that build."""
+    _assert_reconcile_at_build_speed(benchmark, 30_000)
+
+
 def test_suite_row_committed_speedup():
     """The committed trajectory must carry the suite wall-clock row and it
     must document a real win: the pooled suite at least 2x faster than
@@ -362,3 +410,12 @@ def test_100k_bulk_million_event_drive(benchmark):
         f"{baseline['events_per_s']:.0f} (floor {floor:.0f}); refresh "
         f"BENCH_scale.json if intentional"
     )
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_FULL_SCALE") != "1",
+    reason="the N=100k reconcile-vs-build gate only runs under REPRO_FULL_SCALE=1",
+)
+def test_100k_reconcile_at_bulk_build_speed(benchmark):
+    """The same gate at the 100k scale floor."""
+    _assert_reconcile_at_build_speed(benchmark, 100_000)

@@ -39,10 +39,12 @@ invariant, and every key lands in its owner with no per-key routing.
 
 Memory: every peer's :class:`NodeInfo` snapshot is built once and
 **shared** by all of its linkers (parent slot, child slots, adjacents,
-every routing-table row that points at it).  Protocol code never mutates
-a ``NodeInfo`` in place — updates replace entries with fresh copies — so
-sharing is safe, and it replaces the ~N·log N independent snapshots the
-incremental path accumulates with exactly N.
+every routing-table row that points at it).  A ``NodeInfo`` is never
+mutated in place; any number of links may share one (DESIGN.md,
+"Snapshot contract") — so exactly N snapshots replace the ~N·log N the
+incremental path accumulates.  ``reconcile()`` rebuilds the same links
+through :class:`repro.core.restructure.GroundTruthView`, which shares
+snapshots the same way and changes no link of a fresh bulk-built tree.
 """
 
 from __future__ import annotations

@@ -192,12 +192,12 @@ def _regenerate_tables(
                 continue
             net.count_message(coordinator.address, info.address, MsgType.REPAIR)
             net.count_message(info.address, coordinator.address, MsgType.RESPONSE)
-    from repro.core.restructure import refresh_links_from_map
+    from repro.core.restructure import GroundTruthView, refresh_links_from_map
 
     # Ghost-held slots stay visible: a dead child still owns its slot and
     # its slice of the key space, so the dead parent must not be mistaken
     # for a leaf (its repair would skip the child's range).
-    refresh_links_from_map(net, ghost, include_ghosts=True)
+    refresh_links_from_map(net, ghost, GroundTruthView(net, include_ghosts=True))
 
 
 def _safe_leaf_removal(ghost: BatonPeer) -> bool:

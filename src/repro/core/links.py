@@ -58,9 +58,12 @@ def _table_slots(level: int, number: int, side: str) -> Tuple[Position, ...]:
 class NodeInfo:
     """One peer's view of a remote peer.
 
-    Mutable on purpose: link owners update these snapshots when the remote
-    peer notifies them of a change (range move, new child, replacement).
-    Slotted: a 100k-peer network holds on the order of N·log N of these
+    A ``NodeInfo`` is never mutated in place; any number of links may share
+    one (DESIGN.md, "Snapshot contract").  When the remote peer announces
+    a change (range move, new child, replacement) the link owner installs
+    a fresh snapshot in the link slot.  Not frozen, because ``frozen=True``
+    makes construction and snapshot restore markedly slower; the rule is
+    pinned by a test instead.  Slotted: a 100k-peer network holds on the order of N·log N of these
     (every routing-table row is one), so the per-instance dict is the
     single largest memory line item the scale profile sees.
     """
@@ -101,7 +104,7 @@ class NodeInfo:
         return self.left_child is not None or self.right_child is not None
 
     def copy(self) -> "NodeInfo":
-        """An independent snapshot (links must not be aliased across peers).
+        """An equal, separate snapshot (e.g. to install in a link slot).
 
         Built by direct construction — ``dataclasses.replace`` re-runs the
         field machinery and dominated reconcile profiles at N=10k.

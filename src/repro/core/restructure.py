@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.ids import Position
+from repro.core.ids import Position, _interned
 from repro.core.links import LEFT, RIGHT, NodeInfo, RoutingTable
 from repro.core.peer import BatonPeer
 from repro.net.address import Address
@@ -45,104 +45,177 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-def inorder_neighbor_position(
-    net: "BatonNetwork", position: Position, side: str
-) -> Optional[Position]:
-    """In-order predecessor/successor slot among occupied positions."""
-    if side == RIGHT:
-        down, other = Position.right_child, Position.left_child
-        take_parent_when = "is_left_child"
-    else:
-        down, other = Position.left_child, Position.right_child
-        take_parent_when = "is_right_child"
-    subtree_root = down(position)
-    if net.occupant(subtree_root) is not None:
-        current = subtree_root
-        while net.occupant(other(current)) is not None:
-            current = other(current)
-        return current
-    current = position
-    while True:
-        parent = current.parent()
-        if parent is None:
-            return None
-        if getattr(current, take_parent_when):
-            return parent
-        current = parent
+class _Row(dict):
+    """One tree level of a :class:`GroundTruthView`, keyed by slot number.
+
+    A miss fills the slot from the position map once (``__missing__``);
+    every later read is a plain dict hit, so a sweep pays one lookup per
+    distinct slot instead of one per link pointing at it.
+    """
+
+    __slots__ = ("fill", "level")
+
+    def __init__(self, fill, level: int):
+        super().__init__()
+        self.fill = fill
+        self.level = level
+
+    def __missing__(self, number: int):
+        value = self[number] = self.fill(self.level, number)
+        return value
 
 
-def map_snapshot(
-    net: "BatonNetwork",
-    position: Optional[Position],
-    cache: Optional[dict] = None,
-    include_ghosts: bool = False,
-) -> Optional[NodeInfo]:
-    """Ground-truth :class:`NodeInfo` for a slot, straight from the map.
+class _Levels(dict):
+    """Level -> :class:`_Row`, created on first use of the level."""
 
-    ``cache`` (scoped to one rebuild batch, during which occupancy and
-    ranges are stable) avoids recomputing hot slots; cached entries are
-    copied out because links must never be aliased between peers.
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, level: int) -> _Row:
+        row = self[level] = _Row(self.fill, level)
+        return row
+
+
+class GroundTruthView:
+    """Ground-truth links for one batch, straight from the position map.
+
+    Slots are addressed with :func:`~repro.core.bulk_build.populate_balanced`'s
+    arithmetic — slot ``n`` of level ``L`` has its parent at ``(n+1)//2``,
+    its children at ``2n-1``/``2n`` and its table rows at ``n ± 2^i`` — so
+    no :class:`Position` is hashed except once per slot, on first use,
+    to read its occupant.  Each occupied slot gets **one** :class:`NodeInfo`
+    that every link to it shares (a ``NodeInfo`` is never mutated in
+    place; see its docstring).
+
+    Filling is lazy: a restructure batch touching tens of peers pays for
+    the slots it reads, never an O(N) pass.  A view is valid while
+    occupancy and ranges hold still — one reconcile sweep, one restructure
+    rebuild, one table regeneration — and must not outlive that batch.
 
     ``include_ghosts`` makes slots held by failed peers visible (with their
     crash-time range): the repair coordinator needs them — a dead node's
     dead child still owns its slot and its slice of the key space.
     """
+
+    __slots__ = ("_net", "_include_ghosts", "_occupants", "_snapshots")
+
+    def __init__(self, net: "BatonNetwork", include_ghosts: bool = False):
+        self._net = net
+        self._include_ghosts = include_ghosts
+        #: level -> number -> occupant address (ghosts included) or None.
+        self._occupants = _Levels(self._occupant)
+        #: level -> number -> the slot's shared NodeInfo, or None.
+        self._snapshots = _Levels(self._snapshot)
+
+    def _occupant(self, level: int, number: int) -> Optional[Address]:
+        return self._net._positions.get(_interned(level, number))
+
+    def _snapshot(self, level: int, number: int) -> Optional[NodeInfo]:
+        address = self._occupants[level][number]
+        if address is None:
+            return None
+        net = self._net
+        peer = net.peers.get(address)
+        if peer is None and self._include_ghosts:
+            peer = net.ghosts.get(address)
+        if peer is None:
+            return None  # an invisible ghost
+        below = self._occupants[level + 1]
+        return NodeInfo(
+            address,
+            _interned(level, number),
+            peer.range,
+            below[2 * number - 1],
+            below[2 * number],
+        )
+
+    def _neighbor(
+        self, level: int, number: int, side: str
+    ) -> Optional[tuple[int, int]]:
+        """In-order predecessor/successor ``(level, number)`` among occupied
+        slots: the extreme of the child subtree on ``side``, else the
+        nearest ancestor on that side.  Occupancy is read slot by slot, so
+        a tree that is not parent-closed mid-repair is handled as is."""
+        occupants = self._occupants
+        # Children of n are 2n-1 (left) and 2n (right): ``toward`` picks
+        # the child on ``side``, ``away`` (0 or 1) the opposite offset.
+        right = side == RIGHT
+        toward = 0 if right else 1
+        if occupants[level + 1][2 * number - toward] is not None:
+            level, number = level + 1, 2 * number - toward
+            away = 1 - toward
+            while occupants[level + 1][2 * number - away] is not None:
+                level, number = level + 1, 2 * number - away
+            return level, number
+        # Climb while this slot is a child on ``side`` (a left child has
+        # an odd number); the first parent reached the other way is it.
+        while level:
+            parent = (number + 1) // 2
+            if (number % 2 == 1) == right:
+                return level - 1, parent
+            level, number = level - 1, parent
+        return None
+
+    def _adjacent(self, level: int, number: int, side: str) -> Optional[NodeInfo]:
+        slot = self._neighbor(level, number, side)
+        return self._snapshots[slot[0]][slot[1]] if slot is not None else None
+
+
+def inorder_neighbor_position(
+    net: "BatonNetwork", position: Position, side: str
+) -> Optional[Position]:
+    """In-order predecessor/successor slot among occupied positions."""
+    slot = GroundTruthView(net)._neighbor(position.level, position.number, side)
+    return _interned(*slot) if slot is not None else None
+
+
+def map_snapshot(
+    net: "BatonNetwork",
+    position: Optional[Position],
+    include_ghosts: bool = False,
+) -> Optional[NodeInfo]:
+    """Ground-truth :class:`NodeInfo` for one slot, straight from the map.
+
+    A one-off read; batches share a :class:`GroundTruthView` instead.
+    """
     if position is None:
         return None
-    if cache is not None and position in cache:
-        hit = cache[position]
-        return hit.copy() if hit is not None else None
-    address = net.occupant(position)
-    peer = net.peers.get(address) if address is not None else None
-    if peer is None and include_ghosts and address is not None:
-        peer = net.ghosts.get(address)
-    if peer is None:
-        snapshot = None  # empty slot (or invisible ghost)
-    else:
-        snapshot = NodeInfo(
-            address=address,
-            position=position,
-            range=peer.range,
-            left_child=net.occupant(position.left_child()),
-            right_child=net.occupant(position.right_child()),
-        )
-    if cache is not None:
-        cache[position] = snapshot
-        return snapshot.copy() if snapshot is not None else None
-    return snapshot
+    view = GroundTruthView(net, include_ghosts)
+    return view._snapshots[position.level][position.number]
 
 
 def refresh_links_from_map(
     net: "BatonNetwork",
     peer: BatonPeer,
-    cache: Optional[dict] = None,
-    include_ghosts: bool = False,
+    view: Optional[GroundTruthView] = None,
 ) -> None:
-    """Recompute every link of ``peer`` from the position map."""
+    """Recompute every link of ``peer`` from the position map.
+
+    ``view`` is the batch's shared :class:`GroundTruthView` (a fresh one,
+    ghosts hidden, when omitted).  The links it hands out are shared
+    snapshots, one per linked slot.
+    """
+    if view is None:
+        view = GroundTruthView(net)
     position = peer.position
-    peer.parent = map_snapshot(net, position.parent(), cache, include_ghosts)
-    peer.left_child = map_snapshot(net, position.left_child(), cache, include_ghosts)
-    peer.right_child = map_snapshot(
-        net, position.right_child(), cache, include_ghosts
-    )
-    peer.left_adjacent = map_snapshot(
-        net, inorder_neighbor_position(net, position, LEFT), cache, include_ghosts
-    )
-    peer.right_adjacent = map_snapshot(
-        net, inorder_neighbor_position(net, position, RIGHT), cache, include_ghosts
-    )
-    peer.left_table = RoutingTable(owner=position, side=LEFT)
-    peer.right_table = RoutingTable(owner=position, side=RIGHT)
-    for side in (LEFT, RIGHT):
-        table = peer.table_on(side)
-        entries = table.entries
-        for index in table.valid_indices():
-            # Direct assignment: the snapshot is built *at* the slot's
-            # position, so RoutingTable.set's position check can never
-            # fire here, and this loop runs N·log N times per sweep.
-            entries[index] = map_snapshot(
-                net, table.position_at(index), cache, include_ghosts
-            )
+    level, number = position.level, position.number
+    snapshots = view._snapshots
+    row = snapshots[level]
+    below = snapshots[level + 1]
+    peer.parent = snapshots[level - 1][(number + 1) // 2] if level else None
+    peer.left_child = below[2 * number - 1]
+    peer.right_child = below[2 * number]
+    peer.left_adjacent = view._adjacent(level, number, LEFT)
+    peer.right_adjacent = view._adjacent(level, number, RIGHT)
+    # Table rows sit at n - 2^i (left) and n + 2^i (right); the tables'
+    # widths are exactly the in-range rows, so every read is a valid slot.
+    left = peer.left_table = RoutingTable(owner=position, side=LEFT)
+    left.entries = [row[number - (1 << i)] for i in left.valid_indices()]
+    right = peer.right_table = RoutingTable(owner=position, side=RIGHT)
+    right.entries = [row[number + (1 << i)] for i in right.valid_indices()]
 
 
 def rebuild_after_moves(
@@ -164,11 +237,10 @@ def rebuild_after_moves(
     # Ghost-held slots stay linked: until repaired, a dead peer still owns
     # its slot, and erasing links to it would let another repair move its
     # parent away and orphan the slot.
-    include_ghosts = bool(net.ghosts)
-    cache: dict = {}
+    view = GroundTruthView(net, include_ghosts=bool(net.ghosts))
     mover_addresses = {peer.address for peer in movers}
     for peer in movers:
-        refresh_links_from_map(net, peer, cache, include_ghosts)
+        refresh_links_from_map(net, peer, view)
 
     first_ring: set[Address] = set(pre_link_addresses)
     for peer in movers:
@@ -177,7 +249,7 @@ def rebuild_after_moves(
     for address in sorted(first_ring):
         neighbor = net.peers.get(address)
         if neighbor is not None:
-            refresh_links_from_map(net, neighbor, cache, include_ghosts)
+            refresh_links_from_map(net, neighbor, view)
 
     # Entries *about* a peer go stale only when that peer's own attributes
     # change; for non-movers that means "one of its child slots changed
@@ -206,7 +278,7 @@ def rebuild_after_moves(
     for address in sorted(second_ring):
         neighbor = net.peers.get(address)
         if neighbor is not None:
-            refresh_links_from_map(net, neighbor, cache, include_ghosts)
+            refresh_links_from_map(net, neighbor, view)
 
     for peer in movers:
         for target in peer.link_addresses():

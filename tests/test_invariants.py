@@ -1,5 +1,7 @@
 """Tests for the invariant checker itself: it must catch seeded corruption."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import BatonNetwork, check_invariants, collect_violations, tree_height
@@ -49,7 +51,9 @@ class TestDetection:
     def test_detects_stale_link_info(self):
         net = make_network(20, seed=1)
         peer = next(p for p in net.peers.values() if p.parent is not None)
-        peer.parent.range = Range(0, 1)
+        # Links may share one snapshot, so inject the stale copy by
+        # replacement rather than by mutating a possibly shared NodeInfo.
+        peer.parent = dataclasses.replace(peer.parent, range=Range(0, 1))
         assert any("stale range" in v for v in collect_violations(net))
 
     def test_detects_missing_table_entry(self):
