@@ -63,9 +63,10 @@ class NodeInfo:
     a change (range move, new child, replacement) the link owner installs
     a fresh snapshot in the link slot.  Not frozen, because ``frozen=True``
     makes construction and snapshot restore markedly slower; the rule is
-    pinned by a test instead.  Slotted: a 100k-peer network holds on the order of N·log N of these
-    (every routing-table row is one), so the per-instance dict is the
-    single largest memory line item the scale profile sees.
+    pinned by a test instead.  Slotted: a 100k-peer network holds on the
+    order of N·log N link slots (every routing-table row is one), so the
+    per-instance dict would be the largest memory line item the scale
+    profile sees.
     """
 
     address: Address

@@ -140,15 +140,15 @@ class GroundTruthView:
         nearest ancestor on that side.  Occupancy is read slot by slot, so
         a tree that is not parent-closed mid-repair is handled as is."""
         occupants = self._occupants
-        # Children of n are 2n-1 (left) and 2n (right): ``toward`` picks
-        # the child on ``side``, ``away`` (0 or 1) the opposite offset.
+        # Slot n's children are 2n-1 (left) and 2n (right): step down once
+        # on ``side``, then as far as possible the other way.
         right = side == RIGHT
-        toward = 0 if right else 1
-        if occupants[level + 1][2 * number - toward] is not None:
-            level, number = level + 1, 2 * number - toward
-            away = 1 - toward
-            while occupants[level + 1][2 * number - away] is not None:
-                level, number = level + 1, 2 * number - away
+        down = 0 if right else 1
+        if occupants[level + 1][2 * number - down] is not None:
+            level, number = level + 1, 2 * number - down
+            other = 1 - down
+            while occupants[level + 1][2 * number - other] is not None:
+                level, number = level + 1, 2 * number - other
             return level, number
         # Climb while this slot is a child on ``side`` (a left child has
         # an odd number); the first parent reached the other way is it.

@@ -2,10 +2,10 @@
 
 ``restructure.refresh_links_from_map`` reads a :class:`GroundTruthView`
 that hands every linker of a slot the same :class:`NodeInfo`.  These tests
-pin that view link-for-link against an independent per-slot reference
-(the map walk the view replaced, kept here verbatim in spirit), pin the
-two whole-network builders to each other, and pin the contract that makes
-the sharing safe: a ``NodeInfo`` is never mutated in place.
+pin that view link-for-link against an independent reference that reads
+the Position-keyed map once per link, pin the two whole-network builders
+to each other, and pin the contract that makes the sharing safe: a
+``NodeInfo`` is never mutated in place.
 """
 
 import dataclasses
